@@ -214,8 +214,10 @@ impl FreeBitmap {
     ///
     /// The word containing `from` is probed directly; past it the summary
     /// index steers the scan straight to the next word with any free slot.
+    /// A bitmap with no free slot answers at once; the summary walk would
+    /// otherwise visit every summary word (about 700 for 2.8 M slots).
     pub fn first_free_at_or_after(&self, from: usize) -> Option<usize> {
-        if from >= self.len {
+        if from >= self.len || self.free_count == 0 {
             return None;
         }
         let w = from / 64;
@@ -603,6 +605,28 @@ mod tests {
         assert_eq!(b.first_free_at_or_after(12345), Some((1 << 18) - 3));
         b.set_used((1 << 18) - 3);
         assert_eq!(b.first_free(), None);
+    }
+
+    #[test]
+    fn empty_set_answers_none_at_any_from() {
+        // A multi-million-slot bitmap whose last free slot was just taken:
+        // every probe is `None`, wherever it starts.
+        let n = 3 << 20;
+        let mut b = FreeBitmap::new(n);
+        b.set_free(17);
+        b.set_used(17);
+        assert_eq!(b.free_count(), 0);
+        assert_eq!(b.first_free(), None);
+        for from in [0, 1, 63, 64, 4095, 4096, n / 2, n - 65, n - 1, n, n + 7] {
+            assert_eq!(b.first_free_at_or_after(from), None, "from={from}");
+        }
+        // One slot freed far past `from` is still found through the
+        // summary walk.
+        b.set_free(n - 2);
+        assert_eq!(b.first_free(), Some(n - 2));
+        assert_eq!(b.first_free_at_or_after(5), Some(n - 2));
+        assert_eq!(b.first_free_at_or_after(n - 2), Some(n - 2));
+        assert_eq!(b.first_free_at_or_after(n - 1), None);
     }
 
     #[test]

@@ -125,34 +125,33 @@ impl<S: FreeBlockSet> Policy for BuddyPolicy<S> {
         Ok(id)
     }
 
-    fn extend(&mut self, file: FileId, units: u64) -> Result<Vec<Extent>, AllocError> {
+    fn extend(&mut self, file: FileId, units: u64) -> Result<(), AllocError> {
         debug_assert!(units > 0);
-        let mut granted: Vec<Extent> = Vec::new();
+        // Blocks this call pushed onto the file's `blocks` list.
+        let mut pushed = 0usize;
         let mut remaining = units;
         while remaining > 0 {
             let current = self.file(file)?.map.total_units();
             let size = self.next_extent_units(current, remaining);
             let order = order_for_units(size);
             let Some(addr) = self.core.allocate(order) else {
-                // Roll back this call's partial allocations so a failed
+                // Roll back this call's blocks, newest first, so a failed
                 // extend is atomic.
-                for e in granted.iter().rev() {
-                    // Each granted extent is exactly one buddy block.
-                    self.core.free(e.start, order_for_units(e.len));
+                for _ in 0..pushed {
                     let f = self.file_mut(file)?;
-                    f.blocks.pop();
-                    f.map.pop_back(e.len);
+                    let Some((a, o)) = f.blocks.pop() else { break };
+                    f.map.pop_back(1 << o);
+                    self.core.free(a, o);
                 }
                 return Err(AllocError::DiskFull(size));
             };
             let f = self.file_mut(file)?;
             f.blocks.push((addr, order));
-            let ext = Extent::new(addr, 1 << order);
-            f.map.push(ext);
-            granted.push(ext);
+            f.map.push(Extent::new(addr, 1 << order));
+            pushed += 1;
             remaining = remaining.saturating_sub(1 << order);
         }
-        Ok(granted)
+        Ok(())
     }
 
     fn truncate(&mut self, file: FileId, units: u64) -> Result<Vec<Extent>, AllocError> {

@@ -194,24 +194,29 @@ impl<M: FreeMap> Policy for ExtentPolicy<M> {
         Ok(id)
     }
 
-    fn extend(&mut self, file: FileId, units: u64) -> Result<Vec<Extent>, AllocError> {
+    fn extend(&mut self, file: FileId, units: u64) -> Result<(), AllocError> {
         debug_assert!(units > 0);
         let chunk = self.file(file)?.extent_units;
-        let mut granted: Vec<Extent> = Vec::new();
+        // Chunks this call pushed onto the file's map.
+        let mut pushed = 0usize;
         let mut remaining = units;
         while remaining > 0 {
             let Some(e) = self.allocate(chunk) else {
-                for &g in granted.iter().rev() {
-                    self.free.release(g);
-                    self.file_mut(file)?.map.pop_back(g.len);
+                // Every chunk is one `chunk`-unit run at the map's tail, so
+                // popping `chunk` units hands back exactly that run, newest
+                // first.
+                for _ in 0..pushed {
+                    for g in self.file_mut(file)?.map.pop_back(chunk) {
+                        self.free.release(g);
+                    }
                 }
                 return Err(AllocError::DiskFull(chunk));
             };
             self.file_mut(file)?.map.push(e);
-            granted.push(e);
+            pushed += 1;
             remaining = remaining.saturating_sub(chunk);
         }
-        Ok(granted)
+        Ok(())
     }
 
     fn truncate(&mut self, file: FileId, units: u64) -> Result<Vec<Extent>, AllocError> {
@@ -488,6 +493,7 @@ mod tests {
             assert_eq!(fp, fq);
             assert_eq!(p.file_extent_units(fp), q.file_extent_units(fq));
             assert_eq!(p.extend(fp, 12), q.extend(fq, 12));
+            assert_eq!(p.file_map(fp).unwrap().extents(), q.file_map(fq).unwrap().extents());
         }
         assert_eq!(p.frag_gauges(), q.frag_gauges());
     }

@@ -378,18 +378,25 @@ impl<S: FreeBlockSet> FfsPolicy<S> {
 
     /// Rebuilds the file's merged extent map from blocks + tail.
     fn rebuild_map(&mut self, id: FileId) -> Result<(), AllocError> {
-        let (blocks, tail) = {
-            let f = self.file(id)?;
-            (f.blocks.clone(), f.tail)
-        };
         let bu = self.block_units;
         let f = self.file_mut(id)?;
-        f.map = FileMap::new();
-        for b in blocks {
+        f.map.clear();
+        for &b in &f.blocks {
             f.map.push(Extent::new(b, bu));
         }
-        if let Some((addr, n)) = tail {
+        if let Some((addr, n)) = f.tail {
             f.map.push(Extent::new(addr, n));
+        }
+        Ok(())
+    }
+
+    /// Pops and frees the blocks of `id` past its first `keep` — the
+    /// rollback of an extend that pushed them and then failed. Whole free
+    /// blocks land in a set, so the order they go back in is immaterial.
+    fn drop_blocks_past(&mut self, id: FileId, keep: usize) -> Result<(), AllocError> {
+        while self.file(id)?.blocks.len() > keep {
+            let Some(a) = self.file_mut(id)?.blocks.pop() else { break };
+            self.free_block(a);
         }
         Ok(())
     }
@@ -496,34 +503,32 @@ impl<S: FreeBlockSet> Policy for FfsPolicy<S> {
         Ok(id)
     }
 
-    fn extend(&mut self, file: FileId, units: u64) -> Result<Vec<Extent>, AllocError> {
+    fn extend(&mut self, file: FileId, units: u64) -> Result<(), AllocError> {
         debug_assert!(units > 0);
         let bu = self.block_units;
         let (old_blocks, old_tail, group) = {
             let f = self.file(file)?;
-            (f.blocks.len() as u64, f.tail, f.group)
+            (f.blocks.len(), f.tail, f.group)
         };
         let old_tail_units = old_tail.map_or(0, |(_, n)| n);
-        let new_total = old_blocks * bu + old_tail_units + units;
+        let new_total = old_blocks as u64 * bu + old_tail_units + units;
         let want_blocks = new_total / bu;
         let want_tail = new_total % bu;
 
         // Allocate the new full blocks first (the first of them absorbs the
         // old tail's data, FFS-style), then the new tail, then release the
         // old tail — so a failure mid-way can roll back without having
-        // destroyed anything.
-        let mut new_blocks = Vec::new();
+        // destroyed anything. New blocks go straight onto the file's list;
+        // the rollback drops everything past the first `old_blocks`.
         let mut prefer = self.file(file)?.blocks.last().map(|&b| b + bu);
-        for _ in old_blocks..want_blocks {
+        for _ in old_blocks as u64..want_blocks {
             match self.alloc_block(group, prefer) {
                 Some(a) => {
                     prefer = Some(a + bu);
-                    new_blocks.push(a);
+                    self.file_mut(file)?.blocks.push(a);
                 }
                 None => {
-                    for &a in &new_blocks {
-                        self.free_block(a);
-                    }
+                    self.drop_blocks_past(file, old_blocks)?;
                     return Err(AllocError::DiskFull(bu));
                 }
             }
@@ -535,9 +540,7 @@ impl<S: FreeBlockSet> Policy for FfsPolicy<S> {
                     // Roll back the whole-block allocations on both the
                     // disk-full (`Ok(None)`) and corrupt-state outcomes so
                     // a failed extend never leaks blocks.
-                    for &a in &new_blocks {
-                        self.free_block(a);
-                    }
+                    self.drop_blocks_past(file, old_blocks)?;
                     return match no_grant {
                         Err(e) => Err(e),
                         _ => Err(AllocError::DiskFull(want_tail)),
@@ -550,19 +553,8 @@ impl<S: FreeBlockSet> Policy for FfsPolicy<S> {
         if let Some((addr, n)) = old_tail {
             self.free_frags(addr, n)?;
         }
-        {
-            let f = self.file_mut(file)?;
-            f.blocks.extend(&new_blocks);
-            f.tail = new_tail;
-        }
-        self.rebuild_map(file)?;
-        // Report the newly covered space: the new blocks plus the new tail
-        // (the caller writes `units` new units; the map is authoritative).
-        let mut granted: Vec<Extent> = new_blocks.iter().map(|&a| Extent::new(a, bu)).collect();
-        if let Some((a, n)) = new_tail {
-            granted.push(Extent::new(a, n));
-        }
-        Ok(granted)
+        self.file_mut(file)?.tail = new_tail;
+        self.rebuild_map(file)
     }
 
     fn truncate(&mut self, file: FileId, units: u64) -> Result<Vec<Extent>, AllocError> {
@@ -834,16 +826,17 @@ mod tests {
     #[test]
     fn linear_scan_matches_index() {
         // The same op stream through the indexed and linear strategies
-        // produces identical grants (the heavyweight version lives in
-        // tests/frag_equiv.rs).
+        // produces identical file maps after every extend (the heavyweight
+        // version lives in tests/frag_equiv.rs).
         let run = |linear: bool| -> Vec<Vec<Extent>> {
             let mut p = policy();
             p.set_linear_scan(linear);
-            let mut grants = Vec::new();
+            let mut maps = Vec::new();
             let mut files = Vec::new();
             for n in [3u64, 5, 1, 7, 2, 6, 4, 3, 5, 1] {
                 let f = p.create(&FileHints::default()).unwrap();
-                grants.push(p.extend(f, n).unwrap());
+                p.extend(f, n).unwrap();
+                maps.push(p.file_map(f).unwrap().extents().to_vec());
                 files.push(f);
             }
             for f in files.iter().step_by(3) {
@@ -851,10 +844,11 @@ mod tests {
             }
             for n in [2u64, 4, 6] {
                 let f = p.create(&FileHints::default()).unwrap();
-                grants.push(p.extend(f, n).unwrap());
+                p.extend(f, n).unwrap();
+                maps.push(p.file_map(f).unwrap().extents().to_vec());
             }
             p.check_frag_index();
-            grants
+            maps
         };
         assert_eq!(run(false), run(true));
     }

@@ -83,6 +83,12 @@ impl FileMap {
         freed
     }
 
+    /// Empties the map, keeping its storage for the next pushes.
+    pub fn clear(&mut self) {
+        self.total = 0;
+        self.extents.clear();
+    }
+
     /// Removes and returns every extent, emptying the map.
     pub fn take_all(&mut self) -> Vec<Extent> {
         self.total = 0;

@@ -126,22 +126,20 @@ impl Policy for FixedPolicy {
         Ok(id)
     }
 
-    fn extend(&mut self, file: FileId, units: u64) -> Result<Vec<Extent>, AllocError> {
+    fn extend(&mut self, file: FileId, units: u64) -> Result<(), AllocError> {
         debug_assert!(units > 0);
         let nblocks = units.div_ceil(self.block_units);
         if (self.free_list.len() as u64) < nblocks {
             return Err(AllocError::DiskFull(self.block_units));
         }
-        let mut granted = Vec::with_capacity(nblocks as usize);
         for _ in 0..nblocks {
             // Length was checked above, so the list cannot run dry
             // mid-loop; stopping early would still be accounted correctly.
             let Some(addr) = self.free_list.pop_front() else { break };
             let e = Extent::new(addr, self.block_units);
             self.file_mut(file)?.map.push(e);
-            granted.push(e);
         }
-        Ok(granted)
+        Ok(())
     }
 
     fn truncate(&mut self, file: FileId, units: u64) -> Result<Vec<Extent>, AllocError> {

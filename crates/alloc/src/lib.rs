@@ -34,8 +34,10 @@
 //! // 1 M disk units of 1 KB over the §4.2 restricted buddy policy.
 //! let mut policy = PolicyConfig::paper_restricted().build(1 << 20, 1024, 7);
 //! let file = policy.create(&FileHints::default()).unwrap();
-//! let granted = policy.extend(file, 100).unwrap();
-//! assert!(granted.iter().map(|e| e.len).sum::<u64>() >= 100);
+//! policy.extend(file, 100).unwrap();
+//! let allocated = policy.allocated_units(file).unwrap();
+//! assert!(allocated >= 100);
+//! assert_eq!(policy.file_map(file).unwrap().total_units(), allocated);
 //! assert!(policy.extent_count(file).unwrap() <= 3, "sequential growth stays contiguous");
 //! policy.delete(file).unwrap();
 //! assert_eq!(policy.free_units() + policy.metadata_units(), policy.capacity_units());

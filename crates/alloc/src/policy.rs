@@ -90,9 +90,11 @@ pub trait Policy: Send {
     /// Registers a new, empty file. May allocate metadata.
     fn create(&mut self, hints: &FileHints) -> Result<FileId, AllocError>;
 
-    /// Grows `file` by at least `units`, returning the newly allocated
-    /// extents in logical order.
-    fn extend(&mut self, file: FileId, units: u64) -> Result<Vec<Extent>, AllocError>;
+    /// Grows `file` by at least `units`. The new space shows up at the end
+    /// of [`Policy::file_map`]. A failed extend is atomic: the file's map,
+    /// its allocated units, and the free and metadata units are exactly as
+    /// they were before the call.
+    fn extend(&mut self, file: FileId, units: u64) -> Result<(), AllocError>;
 
     /// Shrinks `file` by at most `units` from its logical end, returning
     /// the freed extents.

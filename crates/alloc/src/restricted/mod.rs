@@ -388,9 +388,11 @@ impl<S: FreeBlockSet> Policy for RestrictedPolicy<S> {
         Ok(id)
     }
 
-    fn extend(&mut self, file: FileId, units: u64) -> Result<Vec<Extent>, AllocError> {
+    fn extend(&mut self, file: FileId, units: u64) -> Result<(), AllocError> {
         debug_assert!(units > 0);
-        let mut granted: Vec<(u64, usize)> = Vec::new();
+        // Blocks this call pushed onto the file's `blocks` list, so a
+        // failure can unwind exactly those.
+        let mut pushed = 0usize;
         let mut remaining = units;
         while remaining > 0 {
             let (class, prefer, optimal) = {
@@ -409,14 +411,15 @@ impl<S: FreeBlockSet> Policy for RestrictedPolicy<S> {
                 (class, prefer, optimal)
             };
             let Some(addr) = self.allocate_block(class, optimal, prefer) else {
-                // Unwind this call's blocks: a failed extend is atomic.
-                for &(a, c) in granted.iter().rev() {
-                    self.free_block(c, a);
-                    let sizes_c = self.sizes[c];
+                // Unwind this call's blocks, newest first: a failed extend
+                // is atomic.
+                for _ in 0..pushed {
+                    let Some((a, c)) = self.file_mut(file)?.blocks.pop() else { break };
+                    let size = self.sizes[c];
                     let f = self.file_mut(file)?;
-                    f.blocks.pop();
-                    f.units_per_class[c] -= sizes_c;
-                    f.map.pop_back(sizes_c);
+                    f.units_per_class[c] -= size;
+                    f.map.pop_back(size);
+                    self.free_block(c, a);
                 }
                 return Err(AllocError::DiskFull(self.sizes[class]));
             };
@@ -425,13 +428,10 @@ impl<S: FreeBlockSet> Policy for RestrictedPolicy<S> {
             f.blocks.push((addr, class));
             f.units_per_class[class] += size;
             f.map.push(Extent::new(addr, size));
-            granted.push((addr, class));
+            pushed += 1;
             remaining = remaining.saturating_sub(size);
         }
-        Ok(granted
-            .into_iter()
-            .map(|(a, c)| Extent::new(a, self.sizes[c]))
-            .collect())
+        Ok(())
     }
 
     fn truncate(&mut self, file: FileId, units: u64) -> Result<Vec<Extent>, AllocError> {

@@ -3,9 +3,9 @@
 //! backend under arbitrary operation sequences.
 //!
 //! The same pseudo-random op stream is replayed against both backends of
-//! each policy; after every single operation the grants, freed extents,
-//! error outcomes, free-unit counts, and fragmentation gauges must match
-//! exactly. This is the invariant that lets the word-level structures
+//! each policy; after every single operation the extent maps of every
+//! live file, freed extents, error outcomes, free-unit counts, and
+//! fragmentation gauges must match exactly. This is the invariant that lets the word-level structures
 //! replace the ordered sets without perturbing a byte of the paper's
 //! simulation results.
 
@@ -44,6 +44,8 @@ fn run_differential(a: &mut dyn Policy, b: &mut dyn Policy, ops: &[RawOp]) {
                 let units = arg % 96 + 1;
                 let ra = a.extend(f, units);
                 let rb = b.extend(f, units);
+                // Extend reports only its outcome; where the new space
+                // landed is checked through every live file's map below.
                 assert_eq!(ra, rb, "extend({units}) diverged");
             }
             2 if !files.is_empty() => {

@@ -44,6 +44,8 @@ fn run_differential(a: &mut dyn Policy, b: &mut dyn Policy, ops: &[RawOp]) {
                 let units = arg % 7 + 1;
                 let ra = a.extend(f, units);
                 let rb = b.extend(f, units);
+                // Extend reports only its outcome; where the new space
+                // landed is checked through every live file's map below.
                 assert_eq!(ra, rb, "extend({units}) diverged");
             }
             3 if !files.is_empty() => {

@@ -97,7 +97,7 @@ fn killed_worker_is_respawned_and_artifacts_stay_identical() {
     let ref_dir = out_dir("t4-kill-ref");
     run_table4(&ref_dir, &["--jobs", "1"], &[]);
 
-    // Worker 0 aborts (SIGKILL-equivalent) right after its first result:
+    // Worker 0 aborts (SIGKILL-equivalent) with its first point in flight:
     // the coordinator must respawn the slot, retry the lost point, and
     // still reassemble the exact reference bytes.
     let kill_dir = out_dir("t4-kill-w2");

@@ -17,10 +17,11 @@
 //! Failure model:
 //!
 //! * **Worker death** (EOF, read error, write error, heartbeat silence,
-//!   unexpected frame): the supervisor kills/reaps the child, requeues the
-//!   in-flight point (charging one attempt), and respawns a replacement if
-//!   the shared respawn budget allows; otherwise the slot retires and the
-//!   surviving workers drain the queue.
+//!   unexpected frame): the supervisor kills/reaps the child, charges the
+//!   in-flight point one attempt, and at once respawns a replacement that
+//!   retries the point, if the shared respawn budget allows; otherwise it
+//!   requeues the point, the slot retires, and the surviving workers drain
+//!   the queue.
 //! * **Deterministic point failure** (worker sends `Failed`): fatal for
 //!   the whole sweep — a deterministic computation will fail identically
 //!   on every retry.
@@ -244,6 +245,11 @@ fn supervise(
 ) {
     let mut conn: Option<Conn> = None;
     let mut first_spawn_free = true;
+    // A point whose worker just died: this slot retries it on a
+    // replacement child instead of putting it back on the queue, so the
+    // respawn happens at once rather than whenever the slot next finds
+    // pending work (which a surviving worker may have drained by then).
+    let mut retry: Option<usize> = None;
 
     loop {
         // Claim the next pending point, or learn the sweep is over.
@@ -253,7 +259,7 @@ fn supervise(
                 if st.fatal.is_some() || st.done == st.slots.len() {
                     break None;
                 }
-                if let Some(i) = st.pending.pop_front() {
+                if let Some(i) = retry.take().or_else(|| st.pending.pop_front()) {
                     break Some(i);
                 }
                 st = coord.wake.wait(st).unwrap_or_else(PoisonError::into_inner);
@@ -340,8 +346,7 @@ fn supervise(
                     break;
                 }
                 st.retries += 1;
-                st.pending.push_front(index);
-                coord.wake.notify_all();
+                retry = Some(index);
             }
         }
     }

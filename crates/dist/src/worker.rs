@@ -18,8 +18,9 @@
 //! id from `Hello`:
 //!
 //! * `READOPT_DIST_KILL="<id>:<n>"` — worker `<id>` calls
-//!   `std::process::abort()` immediately after sending its `<n>`-th
-//!   result frame (a SIGKILL-equivalent mid-sweep death).
+//!   `std::process::abort()` in place of sending its `<n>`-th result
+//!   frame (a SIGKILL-equivalent death with that point in flight, so the
+//!   coordinator always sees it and must retry the point).
 //! * `READOPT_DIST_MUTE="<id>"` — worker `<id>` sends no heartbeats and
 //!   stalls on its first assignment (a hung process: alive, silent).
 
@@ -177,6 +178,12 @@ fn serve_loop<R: Read, W: Write>(
                 busy.store(IDLE, Ordering::Relaxed);
                 match outcome {
                     Ok(payload) => {
+                        results_sent += 1;
+                        if kill_after.is_some_and(|n| results_sent >= n) {
+                            // Fault injection: die without unwinding, like
+                            // a SIGKILL'd process, before the result leaves.
+                            std::process::abort();
+                        }
                         send(
                             writer,
                             &Msg::Result(TaskResult {
@@ -186,12 +193,6 @@ fn serve_loop<R: Read, W: Write>(
                                 wall_ms,
                             }),
                         )?;
-                        results_sent += 1;
-                        if kill_after.is_some_and(|n| results_sent >= n) {
-                            // Fault injection: die without unwinding, like
-                            // a SIGKILL'd process.
-                            std::process::abort();
-                        }
                     }
                     Err(error) => {
                         send(

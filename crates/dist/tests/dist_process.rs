@@ -61,8 +61,9 @@ fn slow_points_survive_on_heartbeats() {
 
 #[test]
 fn killed_worker_point_is_reassigned() {
-    // Worker 0 aborts right after its first result frame; the coordinator
-    // must respawn and every point must still come back, in order.
+    // Worker 0 aborts in place of sending its first result, with that point
+    // in flight; the coordinator must respawn and every point must still
+    // come back, in order.
     let mut spec = smoke_worker();
     spec.env.push((String::from("READOPT_DIST_KILL"), String::from("0:1")));
     let out = run_sweep(&spec, &quick_config(2), "{}", "square", 10).expect("sweep");

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 gate (see ROADMAP.md): warnings-as-errors release build, the
-# simlint determinism/robustness pass, the root test suite, and a 2-job
+# simlint determinism/robustness pass, the root test suite, every
+# workspace crate's tests, and a 2-job
 # smoke run of the reproduction at fast scale with the metrics sidecars
 # enabled. A second 1-job smoke run re-derives the sidecars and byte-
 # compares them against the 2-job run — the observability layer must be
@@ -44,6 +45,12 @@ cargo run --release -q -p simlint -- --crates simlint
 
 echo "== cargo test -q =="
 cargo test -q
+
+echo "== cargo test --workspace --no-fail-fast =="
+# The line above runs only the root package. This leg runs every crate's
+# tests too: the allocator differential proptests, the store robustness
+# tests and the dist process tests.
+cargo test --workspace --no-fail-fast
 
 echo "== repro smoke (scale 1/64, 2 jobs, metrics on) =="
 cargo run --release -p readopt-core --bin repro -- \

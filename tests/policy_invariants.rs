@@ -9,8 +9,8 @@
 
 use proptest::prelude::*;
 use readopt::alloc::{
-    BuddyPolicy, ExtentPolicy, FfsPolicy, FileHints, FileId, FitStrategy, FixedPolicy, Policy,
-    RestrictedPolicy,
+    BuddyPolicy, Extent, ExtentPolicy, FfsPolicy, FileHints, FileId, FitStrategy, FixedPolicy,
+    Policy, RestrictedPolicy,
 };
 
 /// A randomly generated operation against a policy.
@@ -29,6 +29,14 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         2 => (any::<usize>(), 1u64..600).prop_map(|(file_sel, units)| Op::Truncate { file_sel, units }),
         1 => any::<usize>().prop_map(|file_sel| Op::Delete { file_sel }),
     ]
+}
+
+/// What a failed extend must leave untouched: the file's extents and
+/// allocated units, and the policy's free and metadata units.
+fn space_snapshot(policy: &dyn Policy, id: FileId) -> (Vec<Extent>, u64, u64, u64) {
+    let extents = policy.file_map(id).expect("live file").extents().to_vec();
+    let allocated = policy.allocated_units(id).expect("live file");
+    (extents, allocated, policy.free_units(), policy.metadata_units())
 }
 
 /// Applies a sequence of operations, checking invariants after each.
@@ -51,7 +59,16 @@ fn exercise(policy: &mut dyn Policy, ops: &[Op]) {
             Op::Extend { file_sel, units } => {
                 if !live.is_empty() {
                     let id = live[file_sel % live.len()];
-                    let _ = policy.extend(id, *units); // disk-full is fine
+                    let before = space_snapshot(policy, id);
+                    // Disk-full is fine, but a failed extend must be atomic.
+                    if policy.extend(id, *units).is_err() {
+                        assert_eq!(
+                            space_snapshot(policy, id),
+                            before,
+                            "{}: failed extend({units}) changed the file or the space accounting",
+                            policy.name()
+                        );
+                    }
                 }
             }
             Op::Truncate { file_sel, units } => {
