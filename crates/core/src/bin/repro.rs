@@ -3,12 +3,12 @@
 //!
 //! ```text
 //! usage: repro [EXPERIMENT ...] [--scale N] [--seed S] [--intervals K]
-//!              [--jobs J] [--workers W] [--shards S]
+//!              [--jobs J] [--workers W]
 //!              [--event-queue heap|calendar]
 //!              [--users-full] [--json DIR] [--explain]
 //!
 //! EXPERIMENT: table1 table2 table3 fig1 fig2 fig3 fig4 fig5 table4 fig6 ablations diag
-//!             shard_scaling users_1e6 all (default: all)
+//!             users_1e6 all (default: all)
 //! --scale N:     divide the paper's 2.8 GB array capacity by N (default 1,
 //!                i.e. full paper scale; benches use 64)
 //! --seed S:      base RNG seed (default 1991)
@@ -21,10 +21,6 @@
 //!                copies of this binary and distributes points over pipes —
 //!                results are bit-identical at any W, and dead or hung
 //!                workers are respawned with their points retried)
-//! --shards S:    event-queue shards inside each simulation point (default 1;
-//!                results are bit-identical at any S ≥ 1 — raising it lets a
-//!                point's disk effects run on worker threads, auto-sized from
-//!                what the machine affords after --jobs is accounted for)
 //! --event-queue: structure backing every simulation's event queue
 //!                (default heap; results are bit-identical either way —
 //!                calendar is the O(1) choice for million-user points)
@@ -46,8 +42,8 @@ use readopt_core::metrics::{cross_check_table, wren_iv_cross_check, ExperimentHi
 use readopt_core::report::TextTable;
 use readopt_core::runner::{self, JobTiming};
 use readopt_core::{
-    ablations, diag, distreg, fig1, fig2, fig3, fig4, fig5, fig6, shard_scaling, storex, table1,
-    table2, table3, table4, users_scale, ExperimentContext, ExperimentMetrics,
+    ablations, diag, distreg, fig1, fig2, fig3, fig4, fig5, fig6, storex, table1, table2,
+    table3, table4, users_scale, ExperimentContext, ExperimentMetrics,
 };
 use readopt_sim::EventQueueKind;
 use serde::Serialize;
@@ -61,7 +57,6 @@ struct Options {
     intervals: Option<usize>,
     jobs: Option<usize>,
     workers: usize,
-    shards: Option<usize>,
     event_queue: EventQueueKind,
     users_full: bool,
     json_dir: Option<String>,
@@ -154,7 +149,6 @@ fn parse_args() -> Result<Options, String> {
         intervals: None,
         jobs: None,
         workers: 0,
-        shards: None,
         event_queue: EventQueueKind::Heap,
         users_full: false,
         json_dir: None,
@@ -204,17 +198,6 @@ fn parse_args() -> Result<Options, String> {
                     .ok_or("--workers needs a value")?
                     .parse()
                     .map_err(|e| format!("--workers: {e}"))?;
-            }
-            "--shards" => {
-                let s: usize = args
-                    .next()
-                    .ok_or("--shards needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--shards: {e}"))?;
-                if s == 0 {
-                    return Err("--shards must be at least 1".into());
-                }
-                opts.shards = Some(s);
             }
             "--event-queue" => {
                 opts.event_queue = match args.next().ok_or("--event-queue needs a value")?.as_str()
@@ -279,12 +262,12 @@ fn write_json<T: Serialize>(dir: &Option<String>, name: &str, value: &T) {
 }
 
 /// The canonical run-configuration fingerprint stored as the `.rrs` meta
-/// record. Results-invariant knobs (`jobs`, `workers`, `shards`,
-/// `shard_workers`, `event_queue`) are normalized out — the whole point
-/// of the store is that a sweep killed under `--jobs 8` can resume under
-/// `--workers 2` and still produce the same bytes — while everything
-/// results-affecting (array scale, seed, intervals, latency cap, the
-/// users ladder) stays in and is enforced on resume.
+/// record. Results-invariant knobs (`jobs`, `workers`, `event_queue`)
+/// are normalized out — the whole point of the store is that a sweep
+/// killed under `--jobs 8` can resume under `--workers 2` and still
+/// produce the same bytes — while everything results-affecting (array
+/// scale, seed, intervals, latency cap, the users ladder) stays in and
+/// is enforced on resume.
 fn store_meta_json(ctx: &ExperimentContext, opts: &Options) -> String {
     #[derive(Serialize)]
     struct StoreMeta {
@@ -295,8 +278,6 @@ fn store_meta_json(ctx: &ExperimentContext, opts: &Options) -> String {
     let mut c = *ctx;
     c.jobs = 1;
     c.workers = 0;
-    c.shards = 1;
-    c.shard_workers = 0;
     c.event_queue = EventQueueKind::Heap;
     let meta = StoreMeta {
         context: c,
@@ -355,8 +336,8 @@ fn main() {
                 eprintln!("error: {e}\n");
             }
             eprintln!(
-                "usage: repro [EXPERIMENT ...] [--scale N] [--seed S] [--intervals K] [--jobs J] [--workers W] [--shards S] [--event-queue heap|calendar] [--users-full] [--store FILE] [--json DIR] [--explain]\n\
-                 experiments: table1 table2 table3 fig1 fig2 fig3 fig4 fig5 table4 fig6 ablations diag shard_scaling users_1e6 all\n\
+                "usage: repro [EXPERIMENT ...] [--scale N] [--seed S] [--intervals K] [--jobs J] [--workers W] [--event-queue heap|calendar] [--users-full] [--store FILE] [--json DIR] [--explain]\n\
+                 experiments: table1 table2 table3 fig1 fig2 fig3 fig4 fig5 table4 fig6 ablations diag users_1e6 all\n\
                  repro export --store FILE --json DIR: regenerate the JSON artifacts of a finished store (no simulation runs)"
             );
             std::process::exit(if e == "help" { 0 } else { 2 });
@@ -390,9 +371,6 @@ fn main() {
         ExperimentContext::fast(opts.scale)
     };
     ctx = ctx.with_seed(opts.seed).with_jobs(jobs);
-    if let Some(s) = opts.shards {
-        ctx = ctx.with_shards(s);
-    }
     if let Some(k) = opts.intervals {
         ctx.max_intervals = k;
     }
@@ -410,13 +388,12 @@ fn main() {
     }
 
     println!(
-        "readopt repro — array: {} disks, {:.2} GB usable (scale 1/{}), seed {}, {} jobs, {} shards, {} queue{}\n",
+        "readopt repro — array: {} disks, {:.2} GB usable (scale 1/{}), seed {}, {} jobs, {} queue{}\n",
         ctx.array.ndisks,
         ctx.array.capacity_bytes() as f64 / 1e9,
         opts.scale.max(1),
         ctx.seed,
         jobs,
-        ctx.shards,
         match ctx.event_queue {
             EventQueueKind::Heap => "heap",
             EventQueueKind::Calendar => "calendar",
@@ -483,9 +460,9 @@ fn main() {
 
     // table1/table2 are parameter dumps with no sweep to fan out; they run
     // inline and appear in the profile with no per-point breakdown and
-    // empty metrics/histogram sidecars (nothing to decompose). fig3 and
-    // shard_scaling derive from other sweeps' simulations and keep no
-    // latency reservoir of their own.
+    // empty metrics/histogram sidecars (nothing to decompose). fig3
+    // derives from other sweeps' simulations and keeps no latency
+    // reservoir of its own.
     experiment!(
         "table1",
         (
@@ -516,10 +493,6 @@ fn main() {
     experiment!("fig5", fig5::run_profiled(&ctx), |r: &fig5::Fig5| println!("{}", r.chart()));
     experiment!("table4", table4::run_profiled(&ctx));
     experiment!("fig6", fig6::run_profiled(&ctx), |r: &fig6::Fig6| println!("{}", r.chart()));
-    experiment!("shard_scaling", {
-        let (r, t, m) = shard_scaling::run_profiled(&ctx);
-        (r, t, m, ExperimentHist::empty("shard_scaling"))
-    });
     experiment!("users_1e6", users_scale::run_profiled(&ctx, opts.users_full));
     if wants("ablations") {
         let t0 = Instant::now();

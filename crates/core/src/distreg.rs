@@ -30,8 +30,7 @@ pub const WORKER_BIN_ENV: &str = "REPRO_WORKER_BIN";
 /// Experiments whose sweeps are registered for distribution. An experiment
 /// qualifies when its point list is a pure function of the context (no
 /// cross-point state) — which is every §3-suite sweep. The wall-clock
-/// studies (`shard_scaling`, `users_1e6`) and the sub-second table stubs
-/// stay in-process.
+/// study `users_1e6` and the sub-second table stubs stay in-process.
 pub const DIST_EXPERIMENTS: &[&str] =
     &["diag", "fig1", "fig2", "fig4", "fig5", "fig6", "table3", "table4"];
 
@@ -131,13 +130,10 @@ fn run_dist<T: Deserialize>(
     experiment: &str,
     list: &[Job<'static, T>],
 ) -> Result<RunOutcome<T>, String> {
-    // Worker agents run their points sequentially (one Assign at a time),
-    // so hand each one the whole machine share: jobs = the process count
-    // lets the auto shard-worker budget divide cores the same way the
-    // in-process runner would. Neither field influences results.
+    // Worker agents run one point per Assign and must not fork workers of
+    // their own. The field does not influence results.
     let mut worker_ctx = *ctx;
     worker_ctx.workers = 0;
-    worker_ctx.jobs = ctx.workers;
     let ctx_json =
         serde_json::to_string(&worker_ctx).map_err(|e| format!("serialize context: {e}"))?;
 
@@ -200,7 +196,6 @@ mod tests {
             assert!(supports(exp));
         }
         assert!(!supports("users_1e6"));
-        assert!(!supports("shard_scaling"));
         assert!(!supports("table1"));
     }
 

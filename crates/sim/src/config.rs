@@ -35,16 +35,12 @@ pub struct SimConfig {
     pub max_intervals: usize,
     /// Safety cap on operations for the allocation test.
     pub max_allocation_ops: u64,
-    /// Number of event-queue shards (≥ 1). Purely logical: results are
-    /// bit-identical at any shard count; raising it only creates more
-    /// independent disk-ownership groups for [`shard_workers`] to exploit.
-    ///
-    /// [`shard_workers`]: SimConfig::shard_workers
+    /// Retired: in-point sharding was removed and the engine no longer
+    /// reads this field. [`SimConfig::validate`] accepts only `1`. The
+    /// field stays public because the benchmark harness still assigns it.
     pub shards: usize,
-    /// Worker threads servicing disk effects during performance tests.
-    /// `0` or `1` keeps execution in-line on the decision thread; higher
-    /// values are capped at [`shards`](SimConfig::shards). Execution-only:
-    /// never affects results.
+    /// Retired with [`shards`](SimConfig::shards): the engine no longer
+    /// reads it, and [`SimConfig::validate`] accepts only `0` or `1`.
     pub shard_workers: usize,
     /// Which structure backs the event queue (heap by default, calendar
     /// for O(1) scheduling at million-user densities). Purely a speed
@@ -97,8 +93,12 @@ impl SimConfig {
         if self.stabilize_window == 0 || self.max_intervals < self.stabilize_window {
             return Err("interval counts inconsistent".into());
         }
-        if self.shards == 0 {
-            return Err("shards must be at least 1".into());
+        if self.shards != 1 || self.shard_workers > 1 {
+            return Err(format!(
+                "in-point sharding was removed: shards must be 1 and shard_workers 0 or 1 \
+                 (got {} and {})",
+                self.shards, self.shard_workers
+            ));
         }
         if self.latency_sample_cap == 0 {
             return Err("latency_sample_cap must be at least 1".into());
@@ -145,13 +145,21 @@ mod tests {
     }
 
     #[test]
-    fn shard_fields_default_inert_and_validate() {
+    fn retired_shard_fields_reject_anything_but_one_shard() {
         let c = config();
-        assert_eq!(c.shards, 1, "sharding is opt-in");
-        assert_eq!(c.shard_workers, 0, "in-line execution by default");
+        assert_eq!((c.shards, c.shard_workers), (1, 0));
+        c.validate().unwrap();
+        // The benchmark harness's settings.
         let mut c = config();
-        c.shards = 0;
-        assert!(c.validate().is_err(), "zero shards is rejected");
+        c.shard_workers = 1;
+        c.validate().unwrap();
+        for (shards, workers) in [(2, 0), (1, 2), (0, 0)] {
+            let mut c = config();
+            c.shards = shards;
+            c.shard_workers = workers;
+            let err = c.validate().unwrap_err();
+            assert!(err.contains("sharding was removed"), "{err}");
+        }
     }
 
     #[test]

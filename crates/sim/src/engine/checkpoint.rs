@@ -2,14 +2,10 @@
 //!
 //! A million-user rung can run for hours; a preempted worker losing the
 //! whole rung makes the distributed sweep's retry story expensive. This
-//! module lets the *serial* measurement loop persist its complete dynamic
+//! module lets the measurement loop persist its complete dynamic
 //! state every N steps and resume from the latest snapshot producing
 //! **bit-identical** results — the same `PerfReport`, the same latency
 //! histogram, the same store bytes — as an uninterrupted run.
-//!
-//! Only the serial loop checkpoints: the pipelined loop is already proven
-//! bit-identical to it by construction (see the `shard` module docs), so a
-//! resumed serial run stands in for any worker count.
 //!
 //! The snapshot is a single JSON object (the vendored writer prints floats
 //! via Rust's shortest round-trip `Display`, so every `f64` survives the
@@ -31,7 +27,7 @@ use crate::measure::ThroughputMeter;
 use crate::metrics::EngineCounters;
 use crate::results::PerfReport;
 use crate::rng::SimRng;
-use crate::shard::ShardedEventQueue;
+use crate::event::EventQueue;
 use crate::state::{FileTable, UserTable};
 use readopt_disk::SimTime;
 use serde::{de_field, Serialize, Value};
@@ -76,7 +72,7 @@ struct ResumeFrame {
 
 impl Simulation {
     /// §3's application performance test with mid-run checkpointing: runs
-    /// the serial measurement loop, persisting a full-state snapshot to
+    /// the measurement loop, persisting a full-state snapshot to
     /// `spec.path` every `spec.every_steps` steps. If a snapshot is
     /// already present (a previous process was killed mid-run), the run
     /// resumes from it and produces bit-identical results to an
@@ -143,7 +139,7 @@ impl Simulation {
         let mut last_checkpoint = steps;
         let mut written_this_process: u64 = 0;
 
-        // The body below is `run_perf_serial` with the checkpoint write
+        // The body below is `run_perf_loop` with the checkpoint write
         // spliced in at the loop top, after the stop checks and before the
         // step — i.e. at a point where the snapshot fully determines the
         // rest of the run. Writing a snapshot perturbs nothing: the only
@@ -326,7 +322,7 @@ impl Simulation {
         if entries.iter().any(|e| e.2 as usize >= users.type_idx.len()) {
             return Err("queued event names a user outside the user table".into());
         }
-        let mut queue = ShardedEventQueue::with_kind(self.shards, self.event_queue);
+        let mut queue = EventQueue::with_kind(self.event_queue);
         queue.restore_entries(&entries, next_seq)?;
         let policy_snap =
             v.get("policy").ok_or_else(|| "missing field `policy`".to_string())?;
@@ -353,8 +349,6 @@ impl Simulation {
         self.latencies = latencies;
         self.dropped_latencies = dropped_latencies;
         self.hist = hist;
-        self.planning = false;
-        self.pending_span = None;
         Ok(ResumeFrame { steps, ops_before, disk_full_before, meter })
     }
 }

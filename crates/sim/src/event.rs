@@ -115,11 +115,9 @@ impl EventQueue {
         self.schedule_with_seq(time, user, seq);
     }
 
-    /// Schedules `user` at `time` under an externally assigned sequence
-    /// number. Used by the sharded queue, which stamps one *global*
-    /// sequence across all shard-local queues so the k-way merge reproduces
-    /// the single-queue tie-break exactly.
-    pub fn schedule_with_seq(&mut self, time: SimTime, user: UserId, seq: u64) {
+    /// Schedules `user` at `time` under an already assigned sequence
+    /// number (a restored checkpoint entry keeps its original stamp).
+    fn schedule_with_seq(&mut self, time: SimTime, user: UserId, seq: u64) {
         match &mut self.backend {
             Backend::Heap(h) => h.push(Reverse((time, seq, user.0))),
             Backend::Calendar(c) => c.insert(time, seq, user.0),
@@ -136,8 +134,7 @@ impl EventQueue {
         }
     }
 
-    /// The full ordering key `(time, seq)` of the earliest pending event —
-    /// what the sharded queue's merge compares across shard queues.
+    /// The full ordering key `(time, seq)` of the earliest pending event.
     pub fn peek_key(&mut self) -> Option<(SimTime, u64)> {
         match &mut self.backend {
             Backend::Heap(h) => h.peek().map(|Reverse((t, s, _))| (*t, *s)),
@@ -151,6 +148,53 @@ impl EventQueue {
             Backend::Heap(h) => h.pop().map(|Reverse((time, _, user))| Event { time, user: UserId(user) }),
             Backend::Calendar(c) => c.pop(),
         }
+    }
+
+    /// Drains every pending event in pop order, returning the
+    /// `(time, seq, user)` entries plus the sequence counter — the
+    /// checkpoint form of the queue. The calendar backend is not cloneable
+    /// (its bucket cursor is lazy), so a checkpoint empties the queue and
+    /// the caller immediately rebuilds it via [`Self::restore_entries`].
+    pub fn drain_entries(&mut self) -> (Vec<(SimTime, u64, u32)>, u64) {
+        let mut out = Vec::with_capacity(self.len());
+        while let Some((time, seq)) = self.peek_key() {
+            let Some(ev) = self.pop() else { break };
+            out.push((time, seq, ev.user.0));
+        }
+        (out, self.seq)
+    }
+
+    /// Refills the queue from a [`Self::drain_entries`] snapshot,
+    /// preserving each entry's original sequence stamp so the pop order
+    /// (ties included) is exactly what it was when the snapshot was taken.
+    /// Entries must arrive in strictly ascending `(time, seq)` order (the
+    /// drain order) with every stamp below `next_seq`; anything else means
+    /// the snapshot is corrupt.
+    pub fn restore_entries(
+        &mut self,
+        entries: &[(SimTime, u64, u32)],
+        next_seq: u64,
+    ) -> Result<(), String> {
+        if !self.is_empty() {
+            return Err("restoring into a non-empty event queue".into());
+        }
+        // Validate everything first: a failed restore must leave the queue
+        // untouched, not half-filled.
+        let mut prev: Option<(SimTime, u64)> = None;
+        for &(time, seq, _) in entries {
+            if seq >= next_seq {
+                return Err(format!("event seq {seq} at or past the counter {next_seq}"));
+            }
+            if prev.is_some_and(|p| p >= (time, seq)) {
+                return Err(format!("event entries out of pop order at seq {seq}"));
+            }
+            prev = Some((time, seq));
+        }
+        for &(time, seq, user) in entries {
+            self.schedule_with_seq(time, UserId(user), seq);
+        }
+        self.seq = next_seq;
+        Ok(())
     }
 }
 
@@ -191,10 +235,10 @@ mod tests {
     #[test]
     fn ties_break_by_time_then_seq_then_user() {
         // Regression: the ordering key is the full (time, seq, user)
-        // tuple. The sharded queue stamps external seqs, so equal
-        // (time, seq) pairs are reachable — the third field must break
-        // them identically on every backend (ascending user), or a
-        // backend swap could silently reorder equal-time events.
+        // tuple. Equal (time, seq) pairs never arise through `schedule` or
+        // a validated restore, but the third field must still break them
+        // identically on every backend (ascending user), or a backend swap
+        // could silently reorder equal-time events.
         for kind in KINDS {
             let mut q = EventQueue::with_kind(kind);
             q.schedule_with_seq(t(5.0), UserId(8), 7);
@@ -218,6 +262,78 @@ mod tests {
             assert_eq!(q.len(), 1);
             assert!(!q.is_empty());
             assert_eq!(q.kind(), kind);
+        }
+    }
+
+    /// Drains `q` by popping, as `(time, user)` pairs.
+    fn pop_all(q: &mut EventQueue) -> Vec<(SimTime, u32)> {
+        std::iter::from_fn(|| q.pop()).map(|e| (e.time, e.user.0)).collect()
+    }
+
+    /// Draining to checkpoint form and restoring must reproduce the exact
+    /// pop order, `(time, seq)` ties included, on either backend, and new
+    /// schedules must continue the sequence after the restored counter.
+    #[test]
+    fn drain_restore_roundtrip_preserves_pop_order() {
+        for kind in KINDS {
+            let mut q = EventQueue::with_kind(kind);
+            // Six distinct times over 100 events: many exact-time ties.
+            for i in 0u64..100 {
+                q.schedule(SimTime::from_us((i * 2654435761) % 6 * 50), UserId((i % 13) as u32));
+            }
+            // Pop a few first so the snapshot is mid-run, not pristine.
+            for _ in 0..17 {
+                q.pop();
+            }
+            let (entries, seq) = q.drain_entries();
+            assert_eq!(entries.len(), 83, "{kind:?}");
+            assert!(q.is_empty(), "draining empties the queue ({kind:?})");
+            assert!(entries.windows(2).all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)));
+            q.restore_entries(&entries, seq).expect("restore original");
+            let reference = pop_all(&mut q);
+            let expected: Vec<(SimTime, u32)> = entries.iter().map(|e| (e.0, e.2)).collect();
+            assert_eq!(reference, expected, "drain order is pop order ({kind:?})");
+            for to in KINDS {
+                let mut restored = EventQueue::with_kind(to);
+                restored.restore_entries(&entries, seq).expect("restore");
+                assert_eq!(restored.len(), 83);
+                assert_eq!(pop_all(&mut restored), reference, "{kind:?} -> {to:?}");
+            }
+            // A fresh schedule at an already-queued time pops after every
+            // restored entry at that time: its seq continues the counter.
+            let mut restored = EventQueue::with_kind(kind);
+            restored.restore_entries(&entries, seq).expect("restore");
+            let tied = entries[0].0;
+            restored.schedule(tied, UserId(99));
+            let order = pop_all(&mut restored);
+            let last_at_tied = order.iter().rposition(|&(t, _)| t == tied).unwrap();
+            assert_eq!(order[last_at_tied], (tied, 99), "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn restore_rejects_corrupt_snapshots() {
+        for kind in KINDS {
+            let mut q = EventQueue::with_kind(kind);
+            q.schedule(t(10.0), UserId(0));
+            q.schedule(t(5.0), UserId(1));
+            let (entries, seq) = q.drain_entries();
+            assert_eq!(entries[0].0, t(5.0), "drain order is pop order");
+            // Non-empty target.
+            let mut busy = EventQueue::with_kind(kind);
+            busy.schedule(t(1.0), UserId(0));
+            assert!(busy.restore_entries(&entries, seq).is_err(), "{kind:?}");
+            assert_eq!(busy.len(), 1, "a failed restore adds nothing");
+            // Seq at or past the counter.
+            let mut fresh = EventQueue::with_kind(kind);
+            assert!(fresh.restore_entries(&entries, 1).is_err(), "{kind:?}");
+            // Out of pop order.
+            let mut swapped = entries.clone();
+            swapped.swap(0, 1);
+            assert!(fresh.restore_entries(&swapped, seq).is_err(), "{kind:?}");
+            assert!(fresh.is_empty(), "failed restore leaves nothing committed");
+            fresh.restore_entries(&entries, seq).expect("the intact snapshot restores");
+            assert_eq!(pop_all(&mut fresh), vec![(t(5.0), 1), (t(10.0), 0)]);
         }
     }
 }

@@ -574,7 +574,7 @@ mod tests {
                        /// doc\n\
                        pub util_lower: f64,\n\
                        pub file_types: Vec<FileTypeConfig>,\n\
-                       shards: usize,\n\
+                       max_intervals: usize,\n\
                    }";
         let p = parse(src);
         assert_eq!(p.structs.len(), 1);
@@ -583,7 +583,7 @@ mod tests {
         assert!(s.derives.iter().any(|d| d == "Deserialize"));
         assert!(s.derives.iter().any(|d| d == "Clone"));
         let names: Vec<&str> = s.fields.iter().map(|f| f.name.as_str()).collect();
-        assert_eq!(names, vec!["util_lower", "file_types", "shards"]);
+        assert_eq!(names, vec!["util_lower", "file_types", "max_intervals"]);
         assert_eq!(s.fields[0].ty, "f64");
         assert_eq!(s.fields[1].ty, "Vec < FileTypeConfig >");
         assert_eq!(s.fields[0].line, 4);

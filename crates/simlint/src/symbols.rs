@@ -16,9 +16,9 @@
 //!   determinism lint.
 //!
 //! Fields are keyed `crate::Type::field` for reporting but matched by bare
-//! name in the use-graph ([`crate::usage`]): a read of `shards` anywhere
-//! keeps *every* config field named `shards` alive. That deliberate
-//! imprecision can only suppress findings, never invent them.
+//! name in the use-graph ([`crate::usage`]): a read of `max_intervals`
+//! anywhere keeps *every* config field named `max_intervals` alive. That
+//! deliberate imprecision can only suppress findings, never invent them.
 
 use crate::config::FileClass;
 use crate::parse::ParsedFile;
@@ -133,12 +133,12 @@ mod tests {
     #[test]
     fn config_fields_require_suffix_lib_class_and_non_test() {
         let src = "#[derive(Serialize, Deserialize)]\n\
-                   pub struct SimConfig { pub shards: usize, pub util: f64 }\n\
+                   pub struct SimConfig { pub max_intervals: usize, pub util: f64 }\n\
                    pub struct Engine { ticks: u64 }\n\
                    #[cfg(test)]\nmod t { struct FakeConfig { x: u64 } }";
         let t = syms(src, FileClass::Lib);
         let keys: Vec<String> = t.config_fields.iter().map(|c| c.key()).collect();
-        assert_eq!(keys, vec!["sim::SimConfig::shards", "sim::SimConfig::util"]);
+        assert_eq!(keys, vec!["sim::SimConfig::max_intervals", "sim::SimConfig::util"]);
         assert!(t.config_fields.iter().all(|c| c.deserialize));
         // Same source in a test-file class contributes nothing.
         assert!(syms(src, FileClass::TestFile).config_fields.is_empty());

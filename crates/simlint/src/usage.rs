@@ -9,12 +9,12 @@
 //!   only ever written is still dead as far as simulation results go;
 //!   compound assignments like `+=` read first and do count);
 //! * a binding introduced by a struct *destructuring pattern* —
-//!   `let SimConfig { shards, .. } = cfg` or a `SimConfig { shards, .. }
-//!   =>` match arm. Struct *literals* (constructors like
-//!   `SimConfig { shards, .. }` in expression position) are writes and
-//!   deliberately do not count: every config type has a constructor
-//!   naming all its fields, so counting literals would keep everything
-//!   alive and r7 would never fire.
+//!   `let SimConfig { max_intervals, .. } = cfg` or a
+//!   `SimConfig { max_intervals, .. } =>` match arm. Struct *literals*
+//!   (constructors like `SimConfig { max_intervals, .. }` in expression
+//!   position) are writes and deliberately do not count: every config
+//!   type has a constructor naming all its fields, so counting literals
+//!   would keep everything alive and r7 would never fire.
 //!
 //! Excluded regions: `#[cfg(test)]` / `#[test]` bodies, whole
 //! `tests/**` files, and the bodies of manual `impl Serialize/Deserialize`
@@ -182,8 +182,8 @@ mod tests {
 
     #[test]
     fn field_access_counts_method_call_does_not() {
-        let r = reads("fn f(c: &Cfg) -> u64 { c.shards + c.compute() }");
-        assert!(has(&r, "shards"));
+        let r = reads("fn f(c: &Cfg) -> u64 { c.max_intervals + c.compute() }");
+        assert!(has(&r, "max_intervals"));
         assert!(!has(&r, "compute"));
     }
 
@@ -199,11 +199,11 @@ mod tests {
 
     #[test]
     fn struct_literals_do_not_count_patterns_do() {
-        let ctor = reads("fn ctor() -> Cfg { Cfg { shards: 1, util } }");
-        assert!(!has(&ctor, "shards"), "constructor writes, not reads");
+        let ctor = reads("fn ctor() -> Cfg { Cfg { max_intervals: 1, util } }");
+        assert!(!has(&ctor, "max_intervals"), "constructor writes, not reads");
         assert!(!has(&ctor, "util"), "shorthand literal writes, not reads");
-        let pat = reads("fn f(c: Cfg) { let Cfg { shards, util: u, .. } = c; }");
-        assert!(has(&pat, "shards"));
+        let pat = reads("fn f(c: Cfg) { let Cfg { max_intervals, util: u, .. } = c; }");
+        assert!(has(&pat, "max_intervals"));
         assert!(has(&pat, "util"), "`field: binding` reads `field`");
         assert!(!has(&pat, "u"), "the binding name is not the field");
     }
@@ -218,25 +218,25 @@ mod tests {
 
     #[test]
     fn functional_update_base_is_not_a_field_read() {
-        let r = reads("fn f(base: Cfg) -> Cfg { Cfg { shards: 2, ..base } }");
-        assert!(!has(&r, "shards"));
+        let r = reads("fn f(base: Cfg) -> Cfg { Cfg { max_intervals: 2, ..base } }");
+        assert!(!has(&r, "max_intervals"));
     }
 
     #[test]
     fn test_regions_and_test_files_are_excluded() {
-        let r = reads("#[cfg(test)]\nmod t { fn f(c: &Cfg) -> u64 { c.shards } }");
-        assert!(!has(&r, "shards"));
-        let toks = lex("fn f(c: &Cfg) -> u64 { c.shards }");
+        let r = reads("#[cfg(test)]\nmod t { fn f(c: &Cfg) -> u64 { c.max_intervals } }");
+        assert!(!has(&r, "max_intervals"));
+        let toks = lex("fn f(c: &Cfg) -> u64 { c.max_intervals }");
         let parsed = parse_file(&toks);
         assert!(collect_reads(&toks, &parsed, FileClass::TestFile).is_empty());
     }
 
     #[test]
     fn manual_serde_impls_are_excluded() {
-        let src = "impl Serialize for Cfg { fn serialize(&self) -> u64 { self.shards } }\n\
+        let src = "impl Serialize for Cfg { fn serialize(&self) -> u64 { self.max_intervals } }\n\
                    impl Display for Cfg { fn fmt(&self) -> u64 { self.util } }";
         let r = reads(src);
-        assert!(!has(&r, "shards"), "serde impl body is serde traffic");
+        assert!(!has(&r, "max_intervals"), "serde impl body is serde traffic");
         assert!(has(&r, "util"), "other impls count normally");
     }
 }

@@ -1,15 +1,13 @@
 #!/usr/bin/env bash
 # Tier-1 gate (see ROADMAP.md): warnings-as-errors release build, the
 # simlint determinism/robustness pass, the root test suite, every
-# workspace crate's tests, and a 2-job
+# workspace crate's tests, the benchmark harness's tests, and a 2-job
 # smoke run of the reproduction at fast scale with the metrics sidecars
 # enabled. A second 1-job smoke run re-derives the sidecars and byte-
 # compares them against the 2-job run — the observability layer must be
-# deterministic at any worker count — a third run at --shards 2
-# byte-compares again: the sharded engine must be results-invariant in
-# the shard count too — a fourth run at --event-queue calendar
-# byte-compares once more: the calendar-queue backend must be
-# results-invariant in the queue structure — and a fifth run at
+# deterministic at any worker count — a third run at --event-queue
+# calendar byte-compares again: the calendar-queue backend must be
+# results-invariant in the queue structure — and a fourth run at
 # --workers 2 byte-compares the distributed coordinator/worker path
 # against the in-process runner. The smoke run's timing profile
 # (per-experiment wall clock, per-sweep-point breakdown, and the measured
@@ -52,9 +50,15 @@ echo "== cargo test --workspace --no-fail-fast =="
 # tests and the dist process tests.
 cargo test --workspace --no-fail-fast
 
+echo "== cargo test (perfbench harness) =="
+# perfbench is its own workspace outside the root one. Its tests keep the
+# benchmark harness compiling against the crates' public API and its
+# reference.tsv digests matching the engine.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== repro smoke (scale 1/64, 2 jobs, metrics on) =="
 cargo run --release -p readopt-core --bin repro -- \
-    fig1 fig2 table4 shard_scaling users_1e6 --scale 64 --intervals 4 --jobs 2 --json target/check
+    fig1 fig2 table4 users_1e6 --scale 64 --intervals 4 --jobs 2 --json target/check
 
 echo "== sidecar determinism (re-run at 1 job, byte-compare) =="
 # This run also writes the binary results store so the export leg below
@@ -73,24 +77,6 @@ for exp in fig1 fig2 table4; do
         || { echo "ERROR: $exp latency histograms differ between --jobs 2 and --jobs 1"; exit 1; }
 done
 echo "   sidecars byte-identical across job counts"
-
-echo "== shard determinism (re-run at --shards 2, byte-compare) =="
-# shard_scaling itself is excluded from the comparison: its payload is
-# wall-clock (timing differs run to run by design); its bit-identity
-# assertion runs inside the driver on every invocation above.
-mkdir -p target/check-s2
-cargo run --release -q -p readopt-core --bin repro -- \
-    fig1 fig2 table4 --scale 64 --intervals 4 --jobs 1 --shards 2 \
-    --json target/check-s2 > /dev/null
-for exp in fig1 fig2 table4; do
-    cmp "target/check-j1/$exp.metrics.json" "target/check-s2/$exp.metrics.json" \
-        || { echo "ERROR: $exp metrics sidecar differs between --shards 1 and --shards 2"; exit 1; }
-    cmp "target/check-j1/$exp.json" "target/check-s2/$exp.json" \
-        || { echo "ERROR: $exp results differ between --shards 1 and --shards 2"; exit 1; }
-    cmp "target/check-j1/$exp.hist.json" "target/check-s2/$exp.hist.json" \
-        || { echo "ERROR: $exp latency histograms differ between --shards 1 and --shards 2"; exit 1; }
-done
-echo "   results byte-identical across shard counts"
 
 echo "== event-queue determinism (re-run on calendar backend, byte-compare) =="
 # users_1e6 asserts heap/calendar equality inside its driver on every run
