@@ -1,7 +1,11 @@
 //! Per-file extent maps: the logical-to-physical translation layer.
 
 use crate::types::Extent;
-use serde::{Deserialize, Serialize};
+use serde::{de_field, Deserialize, Error, Serialize, Value};
+
+/// Extents per entry of [`FileMap`]'s offset index: a lookup scans at most
+/// this many extents before it reaches the requested offset.
+pub const INDEX_STRIDE: usize = 32;
 
 /// The ordered list of extents backing one file.
 ///
@@ -9,10 +13,18 @@ use serde::{Deserialize, Serialize};
 /// lengths of extents `0..i`. Appends that are physically adjacent to the
 /// tail extent are merged, so a perfectly sequential allocation shows up as
 /// a single extent regardless of how many allocation calls produced it.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+///
+/// A strided index keeps range lookups independent of the map's length:
+/// `marks[j]` is the logical start of extent `(j + 1) * INDEX_STRIDE`. A
+/// map of at most `INDEX_STRIDE` extents has no index, and pays one null
+/// pointer for it: most files are short, and there is one map per file.
+/// The index is derived from the extents, so it is never serialized.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FileMap {
     extents: Vec<Extent>,
     total: u64,
+    /// `Some` exactly when the map holds more than `INDEX_STRIDE` extents.
+    marks: Option<Box<Vec<u64>>>,
 }
 
 impl FileMap {
@@ -46,14 +58,24 @@ impl FileMap {
     /// Appends an extent, merging with the tail when physically adjacent.
     pub fn push(&mut self, e: Extent) {
         debug_assert!(e.len > 0);
-        self.total += e.len;
         if let Some(last) = self.extents.last_mut() {
             if last.abuts(&e) {
                 last.len += e.len;
+                self.total += e.len;
                 return;
             }
         }
+        self.append(e);
+    }
+
+    /// Appends `e` as a new extent, indexing it when it opens a stride.
+    fn append(&mut self, e: Extent) {
+        let index = self.extents.len();
+        if index > 0 && index.is_multiple_of(INDEX_STRIDE) {
+            self.marks.get_or_insert_with(Box::default).push(self.total);
+        }
         self.extents.push(e);
+        self.total += e.len;
     }
 
     /// Removes `units` from the end of the file, returning the freed
@@ -80,6 +102,13 @@ impl FileMap {
                 remaining = 0;
             }
         }
+        // Drop the index entries of the extents popped: a map of `n`
+        // extents indexes `(n - 1) / INDEX_STRIDE` of them.
+        let keep = self.extents.len().saturating_sub(1) / INDEX_STRIDE;
+        match &mut self.marks {
+            Some(marks) if keep > 0 => marks.truncate(keep),
+            _ => self.marks = None,
+        }
         freed
     }
 
@@ -87,11 +116,13 @@ impl FileMap {
     pub fn clear(&mut self) {
         self.total = 0;
         self.extents.clear();
+        self.marks = None;
     }
 
     /// Removes and returns every extent, emptying the map.
     pub fn take_all(&mut self) -> Vec<Extent> {
         self.total = 0;
+        self.marks = None;
         std::mem::take(&mut self.extents)
     }
 
@@ -113,8 +144,12 @@ impl FileMap {
         if offset >= end {
             return;
         }
-        let mut logical = 0u64;
-        for e in &self.extents {
+        // Start at the last indexed extent that begins at or before
+        // `offset`; at most one stride lies between it and the range.
+        let marks = self.marks.as_deref().map_or(&[][..], Vec::as_slice);
+        let stride = marks.partition_point(|&m| m <= offset);
+        let mut logical = if stride == 0 { 0 } else { marks[stride - 1] };
+        for e in &self.extents[stride * INDEX_STRIDE..] {
             let e_end = logical + e.len;
             if e_end > offset && logical < end {
                 let lo = offset.max(logical);
@@ -126,6 +161,36 @@ impl FileMap {
                 break;
             }
         }
+    }
+}
+
+impl Serialize for FileMap {
+    fn to_value(&self) -> Value {
+        // The offset index is derived data: serialize only the extents.
+        Value::Object(vec![
+            ("extents".to_string(), self.extents.to_value()),
+            ("total".to_string(), self.total.to_value()),
+        ])
+    }
+}
+
+impl Deserialize for FileMap {
+    /// Rebuilds the offset index, rejecting a snapshot whose `total`
+    /// disagrees with the sum of its extent lengths.
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        let extents: Vec<Extent> = de_field(v, "extents")?;
+        let total: u64 = de_field(v, "total")?;
+        let sum = extents.iter().try_fold(0u64, |acc, e| acc.checked_add(e.len));
+        if sum != Some(total) {
+            return Err(Error::msg(format!(
+                "corrupt FileMap snapshot: total {total} but extents sum to {sum:?}"
+            )));
+        }
+        let mut map = FileMap { extents: Vec::with_capacity(extents.len()), ..FileMap::default() };
+        for e in extents {
+            map.append(e);
+        }
+        Ok(map)
     }
 }
 

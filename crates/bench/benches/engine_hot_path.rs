@@ -1,12 +1,15 @@
 //! Engine hot-path microbenchmarks: the per-operation extent-map transfer
 //! path (whose scratch-buffer reuse removed a Vec allocation per simulated
-//! operation) and the first-fit allocator's early-exit on oversized
-//! requests.
+//! operation, and whose offset index keeps lookups in long maps short),
+//! the striped array's request mapping, and the first-fit allocator's
+//! early-exit on oversized requests.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use readopt_alloc::freespace::FreeSpaceMap;
 use readopt_alloc::{Extent, FileMap, PolicyConfig};
 use readopt_bench::bench_context;
+use readopt_disk::geometry::KB;
+use readopt_disk::{DiskGeometry, IoRequest, SimTime, Storage, StripedArray};
 use readopt_workloads::WorkloadKind;
 use std::hint::black_box;
 
@@ -41,6 +44,45 @@ fn bench_map_range(c: &mut Criterion) {
                 off += 40;
             }
             black_box(sum)
+        })
+    });
+    // A 16k-extent map (a badly fragmented large file), queried at offsets
+    // spread over the whole file: each lookup lands deep in the map.
+    let mut long = FileMap::new();
+    for i in 0..16_384u64 {
+        long.push(Extent::new(i * 37, 16));
+    }
+    let long_total = long.total_units();
+    group.bench_function("map_range/long_map_spread_offsets", |b| {
+        let mut scratch = Vec::new();
+        b.iter(|| {
+            let mut sum = 0u64;
+            for k in 0..256u64 {
+                let off = k * 7919 % long_total;
+                long.map_range_into(off, 40, &mut scratch);
+                sum += scratch.iter().map(|e| e.len).sum::<u64>();
+            }
+            black_box(sum)
+        })
+    });
+    group.finish();
+}
+
+fn bench_striped_submit(c: &mut Criterion) {
+    // The paper's array: 8 Wren IVs, 24 KB stripe unit, 1 KB disk unit.
+    // A 4 MB read spans 171 stripe units, about 21 rows, mapped to one
+    // run per disk.
+    let array = StripedArray::new(DiskGeometry::wren_iv(), 8, 24 * KB, KB);
+    let units = 4 * 1024;
+    let mut group = c.benchmark_group("engine_hot_path");
+    group.bench_function("striped_submit/4mb_read", |b| {
+        b.iter(|| {
+            let mut a = array.clone();
+            let mut end = SimTime::ZERO;
+            for k in 0..16u64 {
+                end = a.submit(end, &IoRequest::read(k * 3 * units + 5, units)).end;
+            }
+            black_box(end)
         })
     });
     group.finish();
@@ -92,6 +134,6 @@ fn bench_application_slice(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = readopt_bench::criterion();
-    targets = bench_map_range, bench_first_fit_early_exit, bench_application_slice
+    targets = bench_map_range, bench_striped_submit, bench_first_fit_early_exit, bench_application_slice
 }
 criterion_main!(benches);

@@ -28,35 +28,81 @@ pub struct PhysicalRun {
     pub len: u64,
 }
 
-/// Decomposes a logical byte range into per-disk physical runs under plain
-/// striping, merging chunks that are physically adjacent on the same disk.
+/// The per-disk physical runs of a logical byte range under plain
+/// striping, computed in closed form without allocating.
 ///
-/// The returned runs are ordered by logical position, which is also the
-/// order in which each disk must service its own runs.
-pub fn striped_runs(start_byte: u64, len: u64, stripe_unit: u64, ndisks: usize) -> Vec<PhysicalRun> {
-    debug_assert!(stripe_unit > 0 && ndisks > 0);
-    let mut runs: Vec<PhysicalRun> = Vec::new();
-    let mut last_per_disk: Vec<Option<usize>> = vec![None; ndisks];
-    let mut cursor = start_byte;
-    let end = start_byte + len;
-    while cursor < end {
-        let stripe = cursor / stripe_unit;
-        let within = cursor % stripe_unit;
-        let chunk = (stripe_unit - within).min(end - cursor);
-        let disk = (stripe % ndisks as u64) as usize;
-        let phys = (stripe / ndisks as u64) * stripe_unit + within;
-        match last_per_disk[disk] {
-            Some(idx) if runs[idx].start_byte + runs[idx].len == phys => {
-                runs[idx].len += chunk;
-            }
-            _ => {
-                runs.push(PhysicalRun { disk, start_byte: phys, len: chunk });
-                last_per_disk[disk] = Some(runs.len() - 1);
-            }
+/// A logically contiguous range covers stripes `s0..=last`; stripe `s`
+/// lives on disk `s mod N` at slot `s div N`, so each disk's stripes in the
+/// range sit in consecutive slots and form exactly one physical run. The
+/// `k`-th run belongs to stripe `s0 + k` (for `k < min(last - s0 + 1, N)`):
+/// it starts at that stripe's slot and spans `(last - s) / N + 1` stripe
+/// units, less the head offset on the first disk and the tail cut on the
+/// disk holding `last`. Runs come out in the order of their first byte,
+/// which is also the order in which each disk must service them.
+#[derive(Debug, Clone)]
+pub struct StripeRuns {
+    first_stripe: u64,
+    last_stripe: u64,
+    /// Offset of the range's first byte within its stripe unit.
+    head: u64,
+    /// Bytes of the last stripe unit that the range leaves unread.
+    tail_cut: u64,
+    stripe_unit: u64,
+    ndisks: u64,
+    next: u64,
+    count: u64,
+}
+
+impl StripeRuns {
+    /// The runs of `[start_byte, start_byte + len)` striped over `ndisks`
+    /// disks with `stripe_unit`-byte units.
+    pub fn new(start_byte: u64, len: u64, stripe_unit: u64, ndisks: usize) -> Self {
+        debug_assert!(stripe_unit > 0 && ndisks > 0);
+        let ndisks = ndisks as u64;
+        let end = start_byte + len;
+        let first_stripe = start_byte / stripe_unit;
+        let last_stripe = end.saturating_sub(1) / stripe_unit;
+        StripeRuns {
+            first_stripe,
+            last_stripe,
+            head: start_byte % stripe_unit,
+            tail_cut: (last_stripe + 1) * stripe_unit - end,
+            stripe_unit,
+            ndisks,
+            next: 0,
+            count: if len == 0 { 0 } else { (last_stripe - first_stripe + 1).min(ndisks) },
         }
-        cursor += chunk;
     }
-    runs
+}
+
+impl Iterator for StripeRuns {
+    type Item = PhysicalRun;
+
+    fn next(&mut self) -> Option<PhysicalRun> {
+        if self.next >= self.count {
+            return None;
+        }
+        let k = self.next;
+        self.next += 1;
+        let stripe = self.first_stripe + k;
+        // Stripes of the range after this one; every N-th is on this disk.
+        let after = self.last_stripe - stripe;
+        let head = if k == 0 { self.head } else { 0 };
+        let tail = if after.is_multiple_of(self.ndisks) { self.tail_cut } else { 0 };
+        Some(PhysicalRun {
+            disk: (stripe % self.ndisks) as usize,
+            start_byte: (stripe / self.ndisks) * self.stripe_unit + head,
+            len: (after / self.ndisks + 1) * self.stripe_unit - head - tail,
+        })
+    }
+}
+
+/// Decomposes a logical byte range into per-disk physical runs under plain
+/// striping, one run per disk touched, ordered by logical position.
+///
+/// Collects [`StripeRuns`]; the arrays' request paths iterate it directly.
+pub fn striped_runs(start_byte: u64, len: u64, stripe_unit: u64, ndisks: usize) -> Vec<PhysicalRun> {
+    StripeRuns::new(start_byte, len, stripe_unit, ndisks).collect()
 }
 
 /// An array of identical disks with data striped across all of them and no
@@ -165,7 +211,7 @@ impl Storage for StripedArray {
         let len = req.units * self.disk_unit_bytes;
         let mut begin = SimTime::MAX;
         let mut end = ready;
-        for run in striped_runs(start, len, self.stripe_unit_bytes, self.disks.len()) {
+        for run in StripeRuns::new(start, len, self.stripe_unit_bytes, self.disks.len()) {
             begin = begin.min(self.disks[run.disk].free_at().max(ready));
             let completion = self.disks[run.disk].service_bytes(ready, run.start_byte, run.len, req.kind);
             end = end.max(completion);

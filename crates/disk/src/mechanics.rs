@@ -102,6 +102,11 @@ pub fn transfer_time_ms(geom: &DiskGeometry, start_sector: u64, nsectors: u64) -
         return 0.0;
     }
     let (head_switches, cylinder_crossings) = crossing_counts(geom, start_sector, nsectors);
+    transfer_from_counts(geom, nsectors, head_switches, cylinder_crossings)
+}
+
+/// [`transfer_time_ms`] from crossing counts already in hand.
+fn transfer_from_counts(geom: &DiskGeometry, nsectors: u64, head_switches: u64, cylinder_crossings: u64) -> f64 {
     nsectors as f64 * geom.sector_time_ms()
         + head_switches as f64 * geom.track_crossing_ms(false)
         + cylinder_crossings as f64 * geom.track_crossing_ms(true)
@@ -121,8 +126,10 @@ pub fn service_breakdown(
     let target = geom.locate_sector(start_sector);
     let seek_ms = geom.seek_time_ms(head_cylinder, target.cylinder);
     let rotational_ms = rotational_latency_ms(geom, ready_ms + seek_ms, target.sector);
-    let transfer_ms = transfer_time_ms(geom, start_sector, nsectors);
-    let (head_switches, _) = crossing_counts(geom, start_sector, nsectors);
+    // One crossing count serves both the transfer time and its head-switch
+    // share; with no sectors both are zero, as `transfer_time_ms` returns.
+    let (head_switches, cylinder_crossings) = crossing_counts(geom, start_sector, nsectors);
+    let transfer_ms = transfer_from_counts(geom, nsectors, head_switches, cylinder_crossings);
     let head_switch_ms = head_switches as f64 * geom.track_crossing_ms(false);
     ServiceBreakdown { seek_ms, rotational_ms, transfer_ms, head_switch_ms }
 }

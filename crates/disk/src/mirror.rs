@@ -3,7 +3,7 @@
 //! replicas, every read is served by whichever replica can finish it first
 //! (shortest completion time given queue backlog and head position).
 
-use crate::array::striped_runs;
+use crate::array::StripeRuns;
 use crate::disk::Disk;
 use crate::geometry::DiskGeometry;
 use crate::request::{IoKind, IoRequest, IoSpan, Storage};
@@ -77,7 +77,7 @@ impl Storage for MirroredArray {
         let len = req.units * self.disk_unit_bytes;
         let mut begin = SimTime::MAX;
         let mut end = ready;
-        for run in striped_runs(start, len, self.stripe_unit_bytes, self.pairs()) {
+        for run in StripeRuns::new(start, len, self.stripe_unit_bytes, self.pairs()) {
             let (a, b) = (2 * run.disk, 2 * run.disk + 1);
             let sector = run.start_byte / self.disks[a].geometry().sector_bytes;
             let nsectors = run.len / self.disks[a].geometry().sector_bytes;

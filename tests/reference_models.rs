@@ -2,7 +2,7 @@
 //! reference implementations.
 
 use proptest::prelude::*;
-use readopt::alloc::filemap::FileMap;
+use readopt::alloc::filemap::{FileMap, INDEX_STRIDE};
 use readopt::alloc::freespace::FreeSpaceMap;
 use readopt::alloc::types::Extent;
 
@@ -63,6 +63,70 @@ impl NaiveSpace {
     }
 }
 
+/// Reference range mapping: a linear scan from the first extent.
+fn linear_map_range(extents: &[Extent], total: u64, offset: u64, len: u64) -> Vec<Extent> {
+    let mut out = Vec::new();
+    let end = (offset + len).min(total);
+    let mut logical = 0u64;
+    for e in extents {
+        let e_end = logical + e.len;
+        let (lo, hi) = (offset.max(logical), end.min(e_end));
+        if lo < hi {
+            out.push(Extent::new(e.start + (lo - logical), hi - lo));
+        }
+        logical = e_end;
+    }
+    out
+}
+
+/// A map of `n` extents that never merge.
+fn fragmented_map(n: u64) -> FileMap {
+    let mut m = FileMap::new();
+    for i in 0..n {
+        m.push(Extent::new(i * 40, 1 + i % 17));
+    }
+    m
+}
+
+/// The serialized form is the one the derived impl produced: exactly the
+/// extents and the total. Loading rebuilds the offset index.
+#[test]
+fn filemap_serde_keeps_its_format_and_rebuilds_the_index() {
+    #[derive(serde::Serialize)]
+    struct Legacy {
+        extents: Vec<Extent>,
+        total: u64,
+    }
+    for n in [0u64, 1, INDEX_STRIDE as u64, INDEX_STRIDE as u64 + 1, 10 * INDEX_STRIDE as u64 + 7] {
+        let m = fragmented_map(n);
+        let legacy = Legacy { extents: m.extents().to_vec(), total: m.total_units() };
+        let json = serde_json::to_string(&m).unwrap();
+        assert_eq!(json, serde_json::to_string(&legacy).unwrap(), "format of a {n}-extent map");
+        let back: FileMap = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, m, "a {n}-extent map round-trips with its index");
+        let total = m.total_units();
+        for offset in (0..total + 2).step_by(7) {
+            assert_eq!(back.map_range(offset, 9), linear_map_range(m.extents(), total, offset, 9));
+        }
+    }
+}
+
+/// A snapshot whose `total` disagrees with its extents is refused.
+#[test]
+fn filemap_snapshot_with_wrong_total_is_rejected() {
+    let m = fragmented_map(3 * INDEX_STRIDE as u64);
+    let json = serde_json::to_string(&m).unwrap();
+    let total = m.total_units();
+    for wrong in [total - 1, total + 1, 0] {
+        let corrupt = json.replace(&format!("\"total\":{total}"), &format!("\"total\":{wrong}"));
+        assert_ne!(corrupt, json);
+        let err = serde_json::from_str::<FileMap>(&corrupt).unwrap_err().to_string();
+        assert!(err.contains("corrupt FileMap snapshot"), "{err}");
+    }
+    let missing = json.replace(&format!(",\"total\":{total}"), "");
+    assert!(serde_json::from_str::<FileMap>(&missing).is_err(), "a snapshot without a total");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -95,11 +159,12 @@ proptest! {
         }
     }
 
-    /// `FileMap::map_range` agrees with a unit-by-unit translation table.
+    /// `FileMap::map_range` agrees with a unit-by-unit translation table,
+    /// on maps long enough to cross many index strides.
     #[test]
     fn filemap_map_range_matches_unit_table(
-        extents in proptest::collection::vec((0u64..10_000, 1u64..50), 1..20),
-        offset in 0u64..600,
+        extents in proptest::collection::vec((0u64..10_000, 1u64..50), 1..8 * INDEX_STRIDE),
+        offset_permille in 0u64..1001,
         len in 1u64..600,
     ) {
         // Make the extents disjoint by spacing them out deterministically.
@@ -114,6 +179,8 @@ proptest! {
             }
             base = start + elen;
         }
+        // Offsets spread over the whole file, plus a little past its end.
+        let offset = table.len() as u64 * offset_permille / 1000 + offset_permille % 3;
         let runs = m.map_range(offset, len);
         // Reassemble the runs into a flat physical-unit list.
         let mut got: Vec<u64> = Vec::new();
@@ -132,6 +199,83 @@ proptest! {
         // Runs must be maximal (no two adjacent runs physically contiguous).
         for w in runs.windows(2) {
             prop_assert!(w[0].end() != w[1].start, "non-maximal run split");
+        }
+    }
+
+    /// The offset index stays exact through any interleaving of merging
+    /// and non-merging pushes, whole and partial `pop_back`s (including
+    /// pops that land exactly on a stride boundary), `clear` and
+    /// `take_all`: after every step, `map_range_into` agrees with a linear
+    /// scan of the extents.
+    #[test]
+    fn filemap_index_matches_linear_scan_through_edits(
+        steps in proptest::collection::vec((0u32..1000, 0u64..1_000_000, 1u64..40), 100..800),
+        probes in proptest::collection::vec((0u64..1001, 1u64..400), 1..8),
+    ) {
+        // Pushes outweigh pops so maps grow across several strides.
+        let mut m = FileMap::new();
+        let mut out = Vec::new();
+        for (op, a, b) in steps {
+            match op {
+                // Non-merging push: leave a gap after the tail.
+                0..=699 => {
+                    let start = m.next_sequential_unit().unwrap_or(0) + 1 + a % 5;
+                    m.push(Extent::new(start, b));
+                }
+                // Merging push: continue the tail extent.
+                700..=899 => {
+                    let start = m.next_sequential_unit().unwrap_or(a);
+                    m.push(Extent::new(start, b));
+                }
+                // Pop a few units, splitting or removing tail extents.
+                900..=949 => {
+                    let freed = m.pop_back(a % 30);
+                    prop_assert!(freed.iter().all(|e| e.len > 0));
+                }
+                // Pop whole extents down to the last stride boundary, or
+                // one extent either side of it; half the time also cut
+                // into the new tail extent.
+                950..=997 => {
+                    let n = m.extent_count();
+                    let boundary = n / INDEX_STRIDE * INDEX_STRIDE;
+                    let target = (boundary + (a as usize % 3)).saturating_sub(1).min(n);
+                    let drop: u64 = m.extents()[target..].iter().map(|e| e.len).sum();
+                    let cut = match (b % 2, target.checked_sub(1)) {
+                        (1, Some(i)) => m.extents()[i].len - 1,
+                        _ => 0,
+                    };
+                    m.pop_back(drop + cut);
+                    prop_assert_eq!(m.extent_count(), target);
+                }
+                998 => m.clear(),
+                _ => {
+                    let all = m.take_all();
+                    prop_assert!(all.iter().all(|e| e.len > 0));
+                }
+            }
+            let total = m.total_units();
+            prop_assert_eq!(total, m.extents().iter().map(|e| e.len).sum::<u64>());
+            // The edited map equals one built afresh from its extents, so
+            // no stale index entry survives an edit (extents never abut,
+            // so the fresh pushes do not merge).
+            let mut fresh = FileMap::new();
+            for e in m.extents() {
+                fresh.push(*e);
+            }
+            prop_assert_eq!(&fresh, &m);
+            for &(permille, len) in &probes {
+                let offset = total * permille / 1000;
+                m.map_range_into(offset, len, &mut out);
+                prop_assert_eq!(&out, &linear_map_range(m.extents(), total, offset, len));
+            }
+            // Probe every stride boundary, one unit either side.
+            for j in 1..=m.extent_count() / INDEX_STRIDE {
+                let at: u64 = m.extents()[..j * INDEX_STRIDE].iter().map(|e| e.len).sum();
+                for offset in [at.saturating_sub(1), at, at + 1] {
+                    m.map_range_into(offset, 3, &mut out);
+                    prop_assert_eq!(&out, &linear_map_range(m.extents(), total, offset, 3));
+                }
+            }
         }
     }
 

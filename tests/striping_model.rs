@@ -4,10 +4,147 @@
 use proptest::prelude::*;
 use readopt::alloc::freespace::FreeSpaceMap;
 use readopt::alloc::types::Extent;
-use readopt::disk::array::striped_runs;
+use readopt::disk::array::{striped_runs, PhysicalRun, StripeRuns};
+
+/// Reference decomposition: walks the request one stripe-unit chunk at a
+/// time and merges chunks that are physically adjacent on the same disk.
+fn chunk_walk_runs(start_byte: u64, len: u64, stripe_unit: u64, ndisks: usize) -> Vec<PhysicalRun> {
+    let mut runs: Vec<PhysicalRun> = Vec::new();
+    let mut last_per_disk: Vec<Option<usize>> = vec![None; ndisks];
+    let mut cursor = start_byte;
+    let end = start_byte + len;
+    while cursor < end {
+        let stripe = cursor / stripe_unit;
+        let within = cursor % stripe_unit;
+        let chunk = (stripe_unit - within).min(end - cursor);
+        let disk = (stripe % ndisks as u64) as usize;
+        let phys = (stripe / ndisks as u64) * stripe_unit + within;
+        match last_per_disk[disk] {
+            Some(idx) if runs[idx].start_byte + runs[idx].len == phys => {
+                runs[idx].len += chunk;
+            }
+            _ => {
+                runs.push(PhysicalRun { disk, start_byte: phys, len: chunk });
+                last_per_disk[disk] = Some(runs.len() - 1);
+            }
+        }
+        cursor += chunk;
+    }
+    runs
+}
+
+/// The closed form yields exactly the chunk walk's runs, in its order.
+fn assert_matches_chunk_walk(start: u64, len: u64, stripe: u64, ndisks: usize) {
+    let got: Vec<PhysicalRun> = StripeRuns::new(start, len, stripe, ndisks).collect();
+    let want = chunk_walk_runs(start, len, stripe, ndisks);
+    assert_eq!(got, want, "start {start} len {len} su {stripe} n {ndisks}");
+    assert!(got.len() <= ndisks, "at most one run per disk");
+}
+
+/// A request covering stripes `first..first + spans`, starting `head`
+/// bytes into its first stripe unit and stopping `tail` bytes short of the
+/// end of its last one (both reduced below one unit).
+fn shaped(first: u64, spans: u64, head: u64, tail: u64, stripe: u64) -> (u64, u64) {
+    let (head, tail) = (head % stripe, tail % stripe);
+    let start = first * stripe + head;
+    let end = (first + spans) * stripe - tail;
+    if end <= start {
+        // Head and tail meet inside a single unit: keep one byte.
+        (start, 1)
+    } else {
+        (start, end - start)
+    }
+}
+
+#[test]
+fn closed_form_matches_chunk_walk_on_edge_shapes() {
+    let su = 24 * 1024;
+    for ndisks in [1usize, 2, 3, 8] {
+        for first in [0u64, 1, 7, 8, 9] {
+            for spans in 1..=3 * ndisks as u64 + 2 {
+                for (head, tail) in [(0, 0), (1, 0), (0, 1), (su / 2, su / 3), (su - 1, su - 1)] {
+                    let (start, len) = shaped(first, spans, head, tail, su);
+                    assert_matches_chunk_walk(start, len, su, ndisks);
+                }
+            }
+        }
+    }
+    assert_eq!(StripeRuns::new(5, 0, su, 8).count(), 0, "empty request has no runs");
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Closed form vs chunk walk on arbitrary byte ranges.
+    #[test]
+    fn closed_form_matches_chunk_walk(
+        start in 0u64..10_000_000,
+        len in 1u64..5_000_000,
+        stripe_kb in 1u64..64,
+        ndisks in 1usize..12,
+    ) {
+        assert_matches_chunk_walk(start, len, stripe_kb * 1024, ndisks);
+    }
+
+    /// Requests shorter than one stripe unit: one run, or two when they
+    /// straddle a unit boundary (one when a single disk holds both).
+    #[test]
+    fn closed_form_matches_chunk_walk_below_one_unit(
+        start in 0u64..10_000_000,
+        frac in 1u64..1000,
+        stripe_kb in 1u64..64,
+        ndisks in 1usize..12,
+    ) {
+        let stripe = stripe_kb * 1024;
+        let len = (stripe * frac / 1000).max(1);
+        prop_assume!(len < stripe);
+        assert_matches_chunk_walk(start, len, stripe, ndisks);
+    }
+
+    /// Both ends unaligned, over any number of units.
+    #[test]
+    fn closed_form_matches_chunk_walk_unaligned_ends(
+        first in 0u64..100_000,
+        spans in 2u64..64,
+        head in 1u64..65_536,
+        tail in 1u64..65_536,
+        stripe_kb in 1u64..64,
+        ndisks in 1usize..12,
+    ) {
+        let stripe = stripe_kb * 1024;
+        prop_assume!(head % stripe != 0 && tail % stripe != 0);
+        let (start, len) = shaped(first, spans, head, tail, stripe);
+        assert_matches_chunk_walk(start, len, stripe, ndisks);
+    }
+
+    /// Requests spanning many rows of the array.
+    #[test]
+    fn closed_form_matches_chunk_walk_across_many_rows(
+        first in 0u64..100_000,
+        rows in 2u64..200,
+        extra in 0u64..12,
+        head in 0u64..65_536,
+        tail in 0u64..65_536,
+        stripe_kb in 1u64..64,
+        ndisks in 1usize..12,
+    ) {
+        let stripe = stripe_kb * 1024;
+        let spans = rows * ndisks as u64 + extra;
+        let (start, len) = shaped(first, spans, head, tail, stripe);
+        assert_matches_chunk_walk(start, len, stripe, ndisks);
+    }
+
+    /// A one-disk array: the whole request is one run at its own address.
+    #[test]
+    fn closed_form_matches_chunk_walk_on_one_disk(
+        start in 0u64..10_000_000,
+        len in 1u64..5_000_000,
+        stripe_kb in 1u64..64,
+    ) {
+        assert_matches_chunk_walk(start, len, stripe_kb * 1024, 1);
+        let runs = striped_runs(start, len, stripe_kb * 1024, 1);
+        prop_assert_eq!(runs, vec![PhysicalRun { disk: 0, start_byte: start, len }]);
+    }
 
     /// The striped decomposition conserves bytes, keeps every run on a
     /// valid disk, and produces per-disk physically ascending runs.
